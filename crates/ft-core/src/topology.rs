@@ -227,13 +227,10 @@ impl FatTree {
     /// If `a == b` this is the leaf itself.
     #[inline]
     pub fn lca(&self, a: ProcId, b: ProcId) -> u32 {
-        let mut u = self.leaf(a);
-        let mut v = self.leaf(b);
-        while u != v {
-            u >>= 1;
-            v >>= 1;
-        }
-        u
+        // Both leaves sit at the same depth, so their LCA is either leaf
+        // shifted right past the highest bit in which they differ.
+        let (u, v) = (self.leaf(a), self.leaf(b));
+        u >> (32 - (u ^ v).leading_zeros())
     }
 
     /// Total number of directed channels, including the two external-interface
@@ -363,6 +360,29 @@ mod tests {
         for i in 0..16 {
             let p = ProcId(i);
             assert_eq!(t.proc_at(t.leaf(p)), p);
+        }
+    }
+
+    /// The parent walk the closed form replaced.
+    fn lca_walk(t: &FatTree, a: ProcId, b: ProcId) -> u32 {
+        let (mut u, mut v) = (t.leaf(a), t.leaf(b));
+        while u != v {
+            u >>= 1;
+            v >>= 1;
+        }
+        u
+    }
+
+    #[test]
+    fn lca_matches_parent_walk_exhaustively() {
+        for lg in 1..=8 {
+            let t = ft(1 << lg);
+            for a in 0..t.n() {
+                for b in 0..t.n() {
+                    let (a, b) = (ProcId(a), ProcId(b));
+                    assert_eq!(t.lca(a, b), lca_walk(&t, a, b), "n={} {a:?} {b:?}", t.n());
+                }
+            }
         }
     }
 

@@ -17,15 +17,21 @@
 //! # Engine structure
 //!
 //! All per-cycle state lives in a reusable [`SimArena`]. Per-message
-//! metadata (alive, local, LCA level, both leaves) is packed into one u64
-//! word, so each level pass streams two flat arrays instead of chasing hash
-//! maps. The serial path scatters each pass's contenders straight into a
-//! generation-stamped (node, slot) table and arbitrates by walking it —
-//! ascending-slot order falls out of the layout, with no sorting and no
-//! intermediate bucket arrays. Every scratch buffer is grow-only, so a
+//! metadata (alive, local, LCA level, leaves) is packed into one u64 or u32
+//! word, so each level pass streams flat arrays instead of chasing hash
+//! maps. Under the default configuration (narrow words, serial, ideal
+//! switches, slot-order arbitration) a cycle is two fused kernels over the
+//! source-sorted survivor list: [`SimArena::up_phase_fused`] climbs every
+//! message in one sweep, and [`SimArena::down_phase_fused`] walks the tree
+//! top-down once, splitting per-node groups held in wire order. Every other
+//! configuration runs per-level passes: the serial path scatters each
+//! pass's contenders into a generation-stamped (node, slot) table and
+//! arbitrates by walking it, or arbitrates contiguous runs of a key-sorted
+//! scan where channels are thin. Every scratch buffer is grow-only, so a
 //! steady-state [`run_to_completion`] does no per-cycle heap allocation on
 //! the ideal-switch path (asserted by `tests/alloc_steady.rs`; partial
-//! concentrators run Hopcroft–Karp matchings, which allocate).
+//! concentrators run Hopcroft–Karp matchings, which allocate). Retry cycles
+//! re-inject the compacted survivors without re-ingesting them.
 //!
 //! Because sibling subtrees use disjoint channels, the per-node arbitration
 //! of one level is embarrassingly parallel: with [`SimConfig::threads`] > 1
@@ -349,6 +355,22 @@ impl MetaWord for u32 {
 trait MsgSource {
     fn len(&self) -> usize;
     fn get(&self, j: usize) -> Message;
+    /// Generator family reported to [`Recorder::stream_ingest`] (`None` for
+    /// a materialized slice).
+    fn family(&self) -> Option<&'static str> {
+        None
+    }
+}
+
+/// Open a recorded run: [`Recorder::run_start`], then the stream ingest of
+/// a lazy source.
+fn record_run_start<R: Recorder, M: MsgSource + ?Sized>(rec: &mut R, height: u32, src: &M) {
+    if R::ENABLED {
+        rec.run_start(height);
+        if let Some(family) = src.family() {
+            rec.stream_ingest(family, src.len() as u64);
+        }
+    }
 }
 
 struct SliceSource<'a>(&'a [Message]);
@@ -404,6 +426,10 @@ impl MsgSource for StreamSource<'_> {
     #[inline]
     fn get(&self, j: usize) -> Message {
         self.0.message(j)
+    }
+
+    fn family(&self) -> Option<&'static str> {
+        Some(self.0.family())
     }
 }
 
@@ -487,12 +513,21 @@ pub struct SimArena {
     ids: Vec<u32>,
     /// Indices of the messages participating in the current pass.
     eligible: Vec<u32>,
-    /// Narrow cycles only: surviving message indices counting-sorted by
-    /// destination leaf at the up→down turn. Driving the down passes from
-    /// this list keeps every down-phase slot-table fill an ascending sweep
-    /// (ingest order is source-major, so the raw scan would scatter) and
-    /// skips injection overflow and up-phase corpses.
+    /// Narrow cycles only: eligible message indices counting-sorted by the
+    /// phase key leaf — source after injection, destination at the turn
+    /// when the per-level down passes run. Driving the passes from this
+    /// list keeps every slot-table fill an ascending sweep (the raw scan
+    /// would scatter) and skips injection overflow and up-phase corpses.
     live: Vec<u32>,
+    // --- fused down-phase state (see [`Self::down_phase_fused`]) ---
+    /// Up-phase survivors as `dst_leaf << 32 | message`, bucketed by LCA
+    /// level, source order within a level.
+    by_lca: Vec<u64>,
+    /// Ping-pong descender groups of the current and the next level, in
+    /// node order and wire order within a node.
+    groups: [Vec<u64>; 2],
+    /// Right-child winners of the node being split.
+    spill: Vec<u64>,
     // --- counting-sort state (parallel path) ---
     per_leaf: Vec<u32>,
     offsets: Vec<u32>,
@@ -557,6 +592,9 @@ impl SimArena {
             ids: Vec::new(),
             eligible: Vec::new(),
             live: Vec::new(),
+            by_lca: Vec::new(),
+            groups: [Vec::new(), Vec::new()],
+            spill: Vec::new(),
             per_leaf: vec![0; n as usize],
             offsets: Vec::with_capacity(n as usize + 1),
             cursor: Vec::with_capacity(n as usize),
@@ -611,14 +649,14 @@ impl SimArena {
         self.cycle_with(ft, msgs, cfg, &mut NoopRecorder)
     }
 
-    /// [`Self::cycle`] with a telemetry [`Recorder`] observing the cycle.
-    ///
-    /// After the cycle completes (and only when `R::ENABLED` — the no-op
-    /// path compiles to exactly [`Self::cycle`]), every channel's load is
-    /// fed to [`Recorder::channel_load`] against its capacity, giving the
-    /// per-level load-vs-capacity histograms of `ftsim report`. The engine
-    /// itself is untouched: recording reads the same [`LoadMap`] the
-    /// accessors expose, after arbitration is done.
+    /// [`Self::cycle`] with a telemetry [`Recorder`] observing the cycle as
+    /// a one-cycle run: [`Recorder::run_start`], [`Recorder::cycle_start`],
+    /// then every channel's load fed to [`Recorder::channel_load`] against
+    /// its capacity (the per-level load-vs-capacity histograms of `ftsim
+    /// report`) and [`Recorder::cycle_end`]. Only when `R::ENABLED` — the
+    /// no-op path compiles to exactly [`Self::cycle`]. The engine itself is
+    /// untouched: recording reads the same [`LoadMap`] the accessors
+    /// expose, after arbitration is done.
     pub fn cycle_with<R: Recorder>(
         &mut self,
         ft: &FatTree,
@@ -626,13 +664,7 @@ impl SimArena {
         cfg: &SimConfig,
         rec: &mut R,
     ) -> CycleStats {
-        let stats = self.cycle_inner(ft, msgs, cfg);
-        if R::ENABLED {
-            for c in ft.channels() {
-                rec.channel_load(c.level(), self.channel_use.get(c), ft.cap(c));
-            }
-        }
-        stats
+        self.observed_cycle(ft, &SliceSource(msgs), cfg, rec)
     }
 
     /// Run one delivery cycle of a lazily generated stream: metadata is
@@ -651,8 +683,8 @@ impl SimArena {
     }
 
     /// [`Self::cycle_stream`] with a telemetry [`Recorder`] observing the
-    /// cycle ([`Recorder::stream_ingest`] once, then per-channel loads as
-    /// in [`Self::cycle_with`]).
+    /// cycle: the hooks of [`Self::cycle_with`], plus
+    /// [`Recorder::stream_ingest`] once after `run_start`.
     pub fn cycle_stream_with<R: Recorder>(
         &mut self,
         ft: &FatTree,
@@ -660,26 +692,50 @@ impl SimArena {
         cfg: &SimConfig,
         rec: &mut R,
     ) -> CycleStats {
+        self.observed_cycle(ft, &StreamSource(stream), cfg, rec)
+    }
+
+    fn observed_cycle<M: MsgSource + ?Sized, R: Recorder>(
+        &mut self,
+        ft: &FatTree,
+        src: &M,
+        cfg: &SimConfig,
+        rec: &mut R,
+    ) -> CycleStats {
+        record_run_start(rec, ft.height(), src);
         if R::ENABLED {
-            rec.stream_ingest(stream.family(), stream.len() as u64);
+            rec.cycle_start(0, src.len() as u32);
         }
         let stats = if self.narrow {
             let mut meta = std::mem::take(&mut self.meta32);
-            let s = self.cycle_generic(ft, &StreamSource(stream), cfg, &mut meta);
+            let s = self.cycle_generic(ft, src, cfg, &mut meta);
             self.meta32 = meta;
             s
         } else {
             let mut meta = std::mem::take(&mut self.meta);
-            let s = self.cycle_generic(ft, &StreamSource(stream), cfg, &mut meta);
+            let s = self.cycle_generic(ft, src, cfg, &mut meta);
             self.meta = meta;
             s
         };
+        self.record_cycle_end(ft, rec, 0, stats.delivered);
+        stats
+    }
+
+    /// Close a recorded cycle: every channel's load, then
+    /// [`Recorder::cycle_end`].
+    fn record_cycle_end<R: Recorder>(
+        &self,
+        ft: &FatTree,
+        rec: &mut R,
+        cycle: u32,
+        delivered: usize,
+    ) {
         if R::ENABLED {
             for c in ft.channels() {
                 rec.channel_load(c.level(), self.channel_use.get(c), ft.cap(c));
             }
+            rec.cycle_end(cycle, delivered as u32);
         }
-        stats
     }
 
     /// Fill per-message metadata, arbitration ids (`None` = identity map,
@@ -761,20 +817,6 @@ impl SimArena {
         }
     }
 
-    fn cycle_inner(&mut self, ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleStats {
-        if self.narrow {
-            let mut meta = std::mem::take(&mut self.meta32);
-            let stats = self.cycle_generic(ft, &SliceSource(msgs), cfg, &mut meta);
-            self.meta32 = meta;
-            stats
-        } else {
-            let mut meta = std::mem::take(&mut self.meta);
-            let stats = self.cycle_generic(ft, &SliceSource(msgs), cfg, &mut meta);
-            self.meta = meta;
-            stats
-        }
-    }
-
     fn cycle_generic<W: MetaWord, M: MsgSource + ?Sized>(
         &mut self,
         ft: &FatTree,
@@ -802,48 +844,53 @@ impl SimArena {
     ) -> CycleStats {
         let height = self.height;
 
-        // --- Up phase (deepest node level first), then down phase. Narrow
-        // words carry one leaf: swap in the destination at the turn.
+        // --- Up phase (deepest node level first), then down phase.
         //
-        // Narrow cycles counting-sort the survivors by the phase key leaf
-        // (source after injection, destination at the turn) and drive the
-        // passes from that list. A key-sorted scan visits each bucket's
-        // contenders contiguously at every level, which keeps slot-table
-        // fills ascending instead of scattering across a table bigger than
-        // L2 — and at deep levels lets the pass skip the table entirely
-        // and arbitrate run-by-run out of the scan (see
-        // [`Self::level_pass_serial_runs`]). The list also skips injection
-        // overflow and up-phase corpses. Outcomes are byte-identical:
-        // slots within a bucket are distinct, so arbitration never depends
-        // on scan order (pinned by the goldens). The wide layout keeps the
-        // plain scan — it is the shard/compat path and the bench baseline.
+        // Narrow cycles counting-sort the survivors by source leaf after
+        // injection and drive the passes from that list. A key-sorted scan
+        // visits each bucket's contenders contiguously at every level,
+        // which keeps slot-table fills ascending instead of scattering
+        // across a table bigger than L2 — and at deep levels lets the pass
+        // skip the table entirely and arbitrate run-by-run out of the scan
+        // (see [`Self::level_pass_serial_runs`]). The list also skips
+        // injection overflow and up-phase corpses. Outcomes are
+        // byte-identical: slots within a bucket are distinct, so
+        // arbitration never depends on scan order (pinned by the goldens).
+        // The wide layout keeps the plain scan — it is the shard/compat
+        // path and the bench baseline.
         let mut live = std::mem::take(&mut self.live);
         let list = W::NARROW;
         if list {
             sort_eligible(meta, true, self.n, &mut self.offsets, &mut live);
         }
         // Ideal switches with slot-order arbitration admit a fully fused up
-        // phase over the source-sorted list (see [`Self::up_phase_fused`]);
-        // every other configuration runs the per-level passes.
-        let fused_up = list
+        // phase and a fused top-down down phase, both driven by the
+        // source-sorted list (see [`Self::up_phase_fused`] and
+        // [`Self::down_phase_fused`]); every other configuration runs the
+        // per-level passes. Those key the down phase on the destination, so
+        // narrow words swap in the destination leaf at the turn and swap it
+        // back once the cycle is over.
+        let fused = list
             && cfg.threads <= 1
             && matches!(cfg.switch, SwitchKind::Ideal)
             && matches!(cfg.arbitration, Arbitration::SlotOrder);
-        if fused_up {
+        if fused {
             self.up_phase_fused(ft, meta, &live);
+            self.down_phase_fused(ft, meta, &live);
         } else {
             for node_level in (0..height).rev() {
                 self.level_pass(ft, cfg, true, node_level, meta, list.then_some(&live[..]));
             }
-        }
-        if W::NARROW {
-            for (m, p) in meta.iter_mut().zip(self.peer32.iter_mut()) {
-                (*m, *p) = m.flip(*p);
+            if W::NARROW {
+                self.flip_all(meta);
+                sort_eligible(meta, false, self.n, &mut self.offsets, &mut live);
             }
-            sort_eligible(meta, false, self.n, &mut self.offsets, &mut live);
-        }
-        for node_level in 0..height {
-            self.level_pass(ft, cfg, false, node_level, meta, list.then_some(&live[..]));
+            for node_level in 0..height {
+                self.level_pass(ft, cfg, false, node_level, meta, list.then_some(&live[..]));
+            }
+            if W::NARROW {
+                self.flip_all(meta);
+            }
         }
         self.live = live;
 
@@ -870,6 +917,13 @@ impl SimArena {
         }
     }
 
+    /// Swap every narrow word's resident leaf with its `peer32` half.
+    fn flip_all<W: MetaWord>(&mut self, meta: &mut [W]) {
+        for (m, p) in meta.iter_mut().zip(self.peer32.iter_mut()) {
+            (*m, *p) = m.flip(*p);
+        }
+    }
+
     /// One retry cycle over the survivors left in the arena by
     /// [`Self::compact_retry`]: re-inject from the already-packed metadata
     /// (no stream replay, no message rebuild) and run the passes.
@@ -883,15 +937,15 @@ impl SimArena {
         self.passes_and_settle(ft, cfg, meta)
     }
 
-    /// Between streamed delivery cycles: emit delivered original indices
+    /// Between the delivery cycles of a run: emit delivered original indices
     /// (via `orig`, the position → original-index map) and compact the
-    /// survivors' metadata in place, preserving FIFO retry order. Narrow
-    /// words are flipped back so they hold the source leaf again, dead
-    /// words are revived, and the arbitration ids are reset to the identity
-    /// over the compacted range — exactly the state a fresh
-    /// [`run_to_completion`] load would produce for the same pending set,
-    /// which is what keeps the streamed path byte-identical. Returns the
-    /// number of survivors.
+    /// survivors' metadata in place, preserving FIFO retry order. Dead
+    /// words are revived (narrow words already hold the source leaf again:
+    /// every cycle ends in the source phase), and the arbitration ids are
+    /// reset to the identity over the compacted range — exactly the state a
+    /// fresh load of the same pending set would produce, which is what
+    /// keeps retries byte-identical to the reference engine's re-ingest.
+    /// Returns the number of survivors.
     fn compact_retry<W: MetaWord>(
         &mut self,
         meta: &mut Vec<W>,
@@ -905,13 +959,10 @@ impl SimArena {
             if d.next_if(|&&di| di as usize == i).is_some() {
                 delivery_order.push(orig[i] as usize);
             } else {
-                let mut m = meta[i].revive();
+                meta[w] = meta[i].revive();
                 if W::NARROW {
-                    let (m2, p2) = m.flip(self.peer32[i]);
-                    m = m2;
-                    self.peer32[w] = p2;
+                    self.peer32[w] = self.peer32[i];
                 }
-                meta[w] = m;
                 orig[w] = orig[i];
                 w += 1;
             }
@@ -1328,9 +1379,10 @@ impl SimArena {
     /// own climb (levels `height-1 ..= lca+1`), loses at the first full
     /// channel, and otherwise records its final wire (its rank on the
     /// channel into the LCA). Channel loads settle per (level, node) when
-    /// the sweep leaves the node's contiguous span. Byte-identical to the
-    /// per-level passes — the goldens and the narrow/wide equality tests
-    /// pin it.
+    /// the sweep leaves the node's contiguous span. The same list-order
+    /// property carries the down phase (see [`Self::down_phase_fused`]).
+    /// Byte-identical to the per-level passes — the goldens and the
+    /// narrow/wide equality tests pin it.
     fn up_phase_fused<W: MetaWord>(&mut self, ft: &FatTree, meta: &mut [W], list: &[u32]) {
         let height = self.height as usize;
         debug_assert!(height < 32, "narrow layout caps height below 32");
@@ -1382,6 +1434,159 @@ impl SimArena {
             if cur_node[lvl] != u32::MAX {
                 channel_use.add_count(ChannelId::up(cur_node[lvl]), count[lvl] as u64);
             }
+        }
+    }
+
+    /// The whole down phase in one top-down walk over the up-phase
+    /// survivors — the companion of [`Self::up_phase_fused`], under the
+    /// same configuration (narrow, serial, ideal switches, slot order).
+    ///
+    /// Two facts make this exact. First, in a down bucket descenders (slots
+    /// `< cap_in_parent`) always rank ahead of turners, and winners take
+    /// `wire = rank`. Second, the turners into child `c` are the winners on
+    /// the up channel from `c`'s sibling, and after the fused up phase their
+    /// wire order is their source-list order. So if each node's descenders
+    /// are held in wire order, the contenders for child `c` in slot order
+    /// are the descenders bound for `c` (in order) followed by the turners
+    /// from the sibling side (in list order), and the first
+    /// `min(outputs, eff[down(c)])` of them win. The winners, kept in that
+    /// order, are exactly child `c`'s descenders in wire order — the
+    /// induction hypothesis one level down.
+    ///
+    /// The walk therefore buckets the survivors by LCA level (keeping list
+    /// order), then per level merges the node groups of the descenders with
+    /// that level's turners, splits each group stably by the destination
+    /// bit, applies the two child caps and kills the losers. Every step is
+    /// a sequential sweep; the destination comes from `peer32`, so the
+    /// narrow words never flip. Final down wires are never read after a
+    /// plain cycle and are not written. Byte-identical to the per-level
+    /// passes — the goldens pin it against the reference engine.
+    fn down_phase_fused<W: MetaWord>(&mut self, ft: &FatTree, meta: &mut [W], list: &[u32]) {
+        debug_assert!(W::NARROW, "destinations come from peer32");
+        let height = self.height as usize;
+        let SimArena {
+            eff,
+            peer32,
+            channel_use,
+            by_lca,
+            groups,
+            spill,
+            ..
+        } = self;
+
+        // Survivors bucketed by LCA level, source-list order within a level.
+        let mut start = [0usize; NARROW_MAX_HEIGHT as usize + 2];
+        for &iu in list {
+            let m = meta[iu as usize];
+            if m.alive() {
+                start[m.lca() as usize + 1] += 1;
+            }
+        }
+        for l in 0..height {
+            start[l + 1] += start[l];
+        }
+        by_lca.clear();
+        by_lca.resize(start[height], 0);
+        let mut fill = start;
+        for &iu in list {
+            let m = meta[iu as usize];
+            if m.alive() {
+                let l = m.lca() as usize;
+                by_lca[fill[l]] = (peer32[iu as usize] as u64) << 32 | iu as u64;
+                fill[l] += 1;
+            }
+        }
+
+        // Top-down: `cur[..cur_len]` holds the descenders entering `level`,
+        // grouped by node in ascending order. No level holds more than the
+        // survivors, no spill more than one channel's winners, and the
+        // branchless split below writes one slot past each side, so the
+        // buffers are sized once; they keep their high-water length and
+        // only the prefixes are live.
+        let survivors = by_lca.len();
+        let widest = (1..=height as u32).map(|l| ft.cap_at_level(l)).max();
+        let spill_need = (widest.unwrap_or(0) as usize).min(survivors);
+        let [cur, next] = groups;
+        for (buf, need) in [
+            (&mut *cur, survivors),
+            (&mut *next, survivors),
+            (&mut *spill, spill_need),
+        ] {
+            if buf.len() <= need {
+                buf.resize(need + 1, 0);
+            }
+        }
+        let mut cur_len = 0usize;
+        for level in 0..height {
+            let turn = &by_lca[start[level]..start[level + 1]];
+            if cur_len + turn.len() == 0 {
+                continue;
+            }
+            let outputs = ft.cap_at_level(level as u32 + 1);
+            // Entry `e`: node at `level` is `e >> node_shift`; bit
+            // `child_shift` selects the child it descends into.
+            let node_shift = (height - level) as u32 + 32;
+            let child_shift = node_shift - 1;
+            let desc = &cur[..cur_len];
+            let node_of = |g: &[u64], i: usize| g.get(i).map_or(u64::MAX, |&e| e >> node_shift);
+            let (mut a, mut t, mut nl) = (0usize, 0usize, 0usize);
+            while a < desc.len() || t < turn.len() {
+                let x = node_of(desc, a).min(node_of(turn, t));
+                let chans = [
+                    ChannelId::down(2 * x as u32),
+                    ChannelId::down(2 * x as u32 + 1),
+                ];
+                let caps = chans.map(|c| outputs.min(eff[c.index()]) as usize);
+                // Stable split of node `x`'s contenders in slot order —
+                // descenders, then turners — without branching on the side:
+                // every entry is written to both outputs and one cursor
+                // advances. Left contenders all land in `next`; right ones
+                // stop advancing in `spill` once the right cap is reached.
+                let (a0, t0, base) = (a, t, nl);
+                let (mut pr, mut right_seen) = (0usize, 0usize);
+                let mut split = |e: u64| {
+                    let right = (e >> child_shift) as usize & 1;
+                    next[nl] = e;
+                    spill[pr] = e;
+                    nl += right ^ 1;
+                    pr += right & (pr < caps[1]) as usize;
+                    right_seen += right;
+                };
+                while a < desc.len() && desc[a] >> node_shift == x {
+                    split(desc[a]);
+                    a += 1;
+                }
+                while t < turn.len() && turn[t] >> node_shift == x {
+                    split(turn[t]);
+                    t += 1;
+                }
+                // Losers: left contenders past the left cap (still in
+                // `next`), right ones past the right cap (found again).
+                let kill = |meta: &mut [W], e: u64| {
+                    let i = e as u32 as usize;
+                    meta[i] = meta[i].kill();
+                };
+                let left_win = (nl - base).min(caps[0]);
+                for &e in &next[base + left_win..nl] {
+                    kill(meta, e);
+                }
+                if right_seen > caps[1] {
+                    let rights = desc[a0..a]
+                        .iter()
+                        .chain(&turn[t0..t])
+                        .filter(|&&e| (e >> child_shift) & 1 != 0);
+                    for &e in rights.skip(caps[1]) {
+                        kill(meta, e);
+                    }
+                }
+                nl = base + left_win;
+                next[nl..nl + pr].copy_from_slice(&spill[..pr]);
+                nl += pr;
+                channel_use.add_count(chans[0], left_win as u64);
+                channel_use.add_count(chans[1], pr as u64);
+            }
+            std::mem::swap(cur, next);
+            cur_len = nl;
         }
     }
 
@@ -2043,17 +2248,18 @@ pub fn simulate_cycle(ft: &FatTree, msgs: &[Message], cfg: &SimConfig) -> CycleR
 /// Run repeated delivery cycles (with acknowledgments and retries) until
 /// every message is delivered.
 ///
-/// The pending set is compacted in place between cycles (no rebuild through
-/// a hash set), and the identity of every delivered message is recorded in
+/// The first cycle packs per-message metadata once; retry cycles re-inject
+/// from the compacted metadata (no re-ingest, no message rebuild), and the
+/// identity of every delivered message is recorded in
 /// [`RunReport::delivery_order`].
 pub fn run_to_completion(ft: &FatTree, msgs: &MessageSet, cfg: &SimConfig) -> RunReport {
     run_to_completion_with(ft, msgs, cfg, &mut NoopRecorder)
 }
 
 /// [`run_to_completion`] with a telemetry [`Recorder`] observing the run:
-/// [`Recorder::cycle_start`] / [`Recorder::cycle_end`] per delivery cycle
-/// and [`Recorder::channel_load`] per channel per cycle (via
-/// [`SimArena::cycle_with`]). With [`NoopRecorder`] this is exactly
+/// [`Recorder::run_start`] once, then [`Recorder::cycle_start`],
+/// [`Recorder::channel_load`] per channel and [`Recorder::cycle_end`] per
+/// delivery cycle. With [`NoopRecorder`] this is exactly
 /// [`run_to_completion`].
 pub fn run_to_completion_with<R: Recorder>(
     ft: &FatTree,
@@ -2061,76 +2267,16 @@ pub fn run_to_completion_with<R: Recorder>(
     cfg: &SimConfig,
     rec: &mut R,
 ) -> RunReport {
-    let mut arena = SimArena::new(ft, cfg);
-    if R::ENABLED {
-        rec.run_start(ft.height());
-    }
-    let mut pending: Vec<Message> = msgs.iter().copied().collect();
-    let mut ids: Vec<u32> = (0..pending.len() as u32).collect();
-    let mut cycles = 0usize;
-    let mut delivered_per_cycle = Vec::new();
-    let mut delivery_order = Vec::with_capacity(pending.len());
-    let mut total_ticks = 0u64;
-    while !pending.is_empty() {
-        // Reseed random arbitration every cycle so drops are independent.
-        let mut cycle_cfg = *cfg;
-        if let Arbitration::Random(seed) = cfg.arbitration {
-            cycle_cfg.arbitration = Arbitration::Random(
-                seed.wrapping_add(cycles as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-        }
-        if R::ENABLED {
-            rec.cycle_start(cycles as u32, pending.len() as u32);
-        }
-        let stats = arena.cycle_with(ft, &pending, &cycle_cfg, rec);
-        assert!(
-            stats.delivered > 0,
-            "no progress in a delivery cycle — switch cannot route even one message"
-        );
-        if R::ENABLED {
-            rec.cycle_end(cycles as u32, stats.delivered as u32);
-        }
-        cycles += 1;
-        delivered_per_cycle.push(stats.delivered);
-        total_ticks += stats.ticks as u64;
-        // One pass: emit delivered identities and compact survivors in
-        // place, preserving order (the retry queue of §II is FIFO). The
-        // arena's delivered list is ascending, so a merge-walk against it
-        // classifies every pending index without touching arena metadata
-        // (which may be either width).
-        let mut w = 0usize;
-        let mut d = arena.delivered_indices().iter().peekable();
-        for i in 0..pending.len() {
-            if d.next_if(|&&di| di as usize == i).is_some() {
-                delivery_order.push(ids[i] as usize);
-            } else {
-                pending[w] = pending[i];
-                ids[w] = ids[i];
-                w += 1;
-            }
-        }
-        pending.truncate(w);
-        ids.truncate(w);
-    }
-    RunReport {
-        cycles,
-        delivered_per_cycle,
-        total_ticks,
-        delivery_order,
-    }
+    run_source(ft, &SliceSource(msgs.as_slice()), cfg, rec)
 }
 
 /// [`run_to_completion`] over a lazily generated stream.
 ///
 /// The first cycle packs per-message metadata straight from the generator
-/// (two-pass streamed ingest: the only per-message state is the arena's
-/// flat metadata/wire arrays plus a `u32` original-index map — no
-/// `Vec<Message>` of the stream's length exists at any point). Retry
-/// cycles re-inject from the compacted metadata without replaying the
-/// stream. Byte-identical to [`run_to_completion`] on
-/// [`MessageStream::collect_set`] for the same arena width, and — via the
-/// width goldens — to the wide reference engine.
+/// (the only per-message state is the arena's flat metadata/wire arrays
+/// plus a `u32` original-index map — no `Vec<Message>` of the stream's
+/// length exists at any point). Byte-identical to [`run_to_completion`] on
+/// [`MessageStream::collect_set`] — the two share one retry loop.
 pub fn run_stream_to_completion(
     ft: &FatTree,
     stream: &dyn MessageStream,
@@ -2140,41 +2286,49 @@ pub fn run_stream_to_completion(
 }
 
 /// [`run_stream_to_completion`] with a telemetry [`Recorder`] observing the
-/// run: [`Recorder::stream_ingest`] once, then the same per-cycle hooks as
-/// [`run_to_completion_with`].
+/// run: [`Recorder::stream_ingest`] once after `run_start`, then the same
+/// per-cycle hooks as [`run_to_completion_with`].
 pub fn run_stream_to_completion_with<R: Recorder>(
     ft: &FatTree,
     stream: &dyn MessageStream,
     cfg: &SimConfig,
     rec: &mut R,
 ) -> RunReport {
+    run_source(ft, &StreamSource(stream), cfg, rec)
+}
+
+fn run_source<M: MsgSource + ?Sized, R: Recorder>(
+    ft: &FatTree,
+    src: &M,
+    cfg: &SimConfig,
+    rec: &mut R,
+) -> RunReport {
     let mut arena = SimArena::new(ft, cfg);
-    if R::ENABLED {
-        rec.run_start(ft.height());
-        rec.stream_ingest(stream.family(), stream.len() as u64);
-    }
+    record_run_start(rec, ft.height(), src);
     if arena.narrow {
         let mut meta = std::mem::take(&mut arena.meta32);
-        let report = run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut meta);
+        let report = run_inner(&mut arena, ft, src, cfg, rec, &mut meta);
         arena.meta32 = meta;
         report
     } else {
         let mut meta = std::mem::take(&mut arena.meta);
-        let report = run_stream_inner(&mut arena, ft, stream, cfg, rec, &mut meta);
+        let report = run_inner(&mut arena, ft, src, cfg, rec, &mut meta);
         arena.meta = meta;
         report
     }
 }
 
-fn run_stream_inner<W: MetaWord, R: Recorder>(
+/// The retry loop: a fresh cycle over `src`, then retry cycles over the
+/// survivors [`SimArena::compact_retry`] leaves in the arena.
+fn run_inner<W: MetaWord, M: MsgSource + ?Sized, R: Recorder>(
     arena: &mut SimArena,
     ft: &FatTree,
-    stream: &dyn MessageStream,
+    src: &M,
     cfg: &SimConfig,
     rec: &mut R,
     meta: &mut Vec<W>,
 ) -> RunReport {
-    let total = stream.len();
+    let total = src.len();
     let mut orig: Vec<u32> = (0..total as u32).collect();
     let mut cycles = 0usize;
     let mut delivered_per_cycle = Vec::new();
@@ -2182,8 +2336,7 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
     let mut total_ticks = 0u64;
     let mut pending = total;
     while pending > 0 {
-        // Reseed random arbitration every cycle so drops are independent —
-        // same schedule as `run_to_completion`.
+        // Reseed random arbitration every cycle so drops are independent.
         let mut cycle_cfg = *cfg;
         if let Arbitration::Random(seed) = cfg.arbitration {
             cycle_cfg.arbitration = Arbitration::Random(
@@ -2195,7 +2348,7 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
             rec.cycle_start(cycles as u32, pending as u32);
         }
         let stats = if cycles == 0 {
-            arena.cycle_generic(ft, &StreamSource(stream), &cycle_cfg, meta)
+            arena.cycle_generic(ft, src, &cycle_cfg, meta)
         } else {
             arena.retry_cycle(ft, &cycle_cfg, meta)
         };
@@ -2203,12 +2356,7 @@ fn run_stream_inner<W: MetaWord, R: Recorder>(
             stats.delivered > 0,
             "no progress in a delivery cycle — switch cannot route even one message"
         );
-        if R::ENABLED {
-            for c in ft.channels() {
-                rec.channel_load(c.level(), arena.channel_use.get(c), ft.cap(c));
-            }
-            rec.cycle_end(cycles as u32, stats.delivered as u32);
-        }
+        arena.record_cycle_end(ft, rec, cycles as u32, stats.delivered);
         cycles += 1;
         delivered_per_cycle.push(stats.delivered);
         total_ticks += stats.ticks as u64;
@@ -2566,6 +2714,28 @@ mod tests {
                 assert_eq!(got, want, "boundary={boundary} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn lone_cycle_records_as_a_one_cycle_run() {
+        use ft_telemetry::MetricsRecorder;
+        let ft = FatTree::universal(64, 8);
+        let msgs: Vec<Message> = (0..64).map(|i| Message::new(i, (i + 32) % 64)).collect();
+        let set: MessageSet = msgs.iter().copied().collect();
+        let cfg = SimConfig::default();
+        let mut arena = SimArena::new(&ft, &cfg);
+        let mut rec = MetricsRecorder::new();
+        let stats = arena.cycle_with(&ft, &msgs, &cfg, &mut rec);
+        assert!(stats.delivered < msgs.len(), "the cycle should congest");
+        let mut streamed = MetricsRecorder::new();
+        let s2 = arena.cycle_stream_with(&ft, &set, &cfg, &mut streamed);
+        assert_eq!(s2, stats);
+        for r in [&rec, &streamed] {
+            assert_eq!(r.height, ft.height());
+            assert_eq!(r.cycles, 1);
+            assert_eq!(r.delivered_per_cycle, vec![stats.delivered as u64]);
+        }
+        assert_eq!(streamed.stream_families.len(), 1);
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl MessageStream for MappedStream<'_> {
 mod tests {
     use super::*;
     use crate::model::LevelCaps;
-    use ft_core::{CapacityProfile, SplitMix64};
+    use ft_core::{CapacityProfile, ProcId, SplitMix64};
 
     fn perm(n: u32, seed: u64) -> MessageSet {
         // Seeded random permutation over n real ids.
@@ -335,6 +335,37 @@ mod tests {
         // Padded leaves under the phantom digit d0 = 3 are unmapped.
         assert_eq!(emb.unmap_proc(6), None);
         assert_eq!(emb.unmap_proc(7), None);
+    }
+
+    #[test]
+    fn lca_matches_parent_walk_on_padded_embeddings() {
+        for topo in [
+            Topology::kary_pods(6, 1),
+            Topology::two_layer(8, 3, 18),
+            Topology::custom(
+                vec![3, 2],
+                vec![
+                    LevelCaps::symmetric(6),
+                    LevelCaps::symmetric(2),
+                    LevelCaps::symmetric(1),
+                ],
+            ),
+        ] {
+            let emb = Embedded::new(topo);
+            let ft = emb.tree();
+            assert!(!emb.is_identity() && ft.n() <= 256);
+            for p in 0..emb.leaves() {
+                for q in 0..emb.leaves() {
+                    let (a, b) = (ProcId(emb.map_proc(p)), ProcId(emb.map_proc(q)));
+                    let (mut u, mut v) = (ft.leaf(a), ft.leaf(b));
+                    while u != v {
+                        u >>= 1;
+                        v >>= 1;
+                    }
+                    assert_eq!(ft.lca(a, b), u, "servers {p}, {q}");
+                }
+            }
+        }
     }
 
     #[test]

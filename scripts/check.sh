@@ -55,6 +55,23 @@ case "$shard_json" in
      exit 1 ;;
 esac
 
+echo "==> ftsim shard cross-check on fat top channels (r > 64)"
+# Shard runs take the wide per-level passes; the single arena they are
+# compared against takes the fused narrow kernels. Trees whose top channels
+# carry more than 64 wires pin the two on the shapes where the per-level
+# down passes walk the slot table. Each run takes milliseconds.
+for args in "--n 4096 --w 1024" "--topology kary:k=16,over=4"; do
+  # shellcheck disable=SC2086 # $args is a word list on purpose
+  wide_json="$(timeout 60 cargo run --release --quiet --bin ftsim -- \
+    shard $args --workload krel:2 --shards 2 --format json)"
+  case "$wide_json" in
+    '{"schema":"ftsim-shard/v1"'*'"matches_single_arena":true'*'}') ;;
+    *) echo "ftsim shard $args diverged from the single arena" >&2
+       echo "$wide_json" >&2
+       exit 1 ;;
+  esac
+done
+
 echo "==> ftsim shard shm smoke (shared-memory rings)"
 shm_json="$(cargo run --release --quiet --bin ftsim -- \
   shard --n 64 --w 16 --workload perm --shards 4 --transport shm --format json)"
